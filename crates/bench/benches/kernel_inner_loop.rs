@@ -11,6 +11,12 @@
 //! frame) — the inner loop now used by the Functional kernels when
 //! `ASUCA_SIMD` is on.
 //!
+//! A fourth variant computes each face flux once and shares it between
+//! the two cells beside it — x faces into a row buffer, z faces rolled
+//! across k, y faces rolled across j in a levels × row plane — the
+//! host form of the paper's Fig. 3 tile and y register marching, as the
+//! advection kernels now run it.
+//!
 //! All variants run the same Koren-limited advection stencil on the
 //! same data single-threaded; identical results are asserted bitwise
 //! before timing.
@@ -358,6 +364,115 @@ fn advect_lanes_body(f: &Fields, out: &mut [f64]) {
     }
 }
 
+/// The flux-reuse walk: the lane walk's stencil, with every face flux
+/// computed once (see the module doc). Stamped into the AVX2+FMA twin
+/// like [`advect_lanes`].
+fn advect_reuse(f: &Fields, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if numerics::simd::lanes_native() {
+        // SAFETY: AVX2+FMA presence was verified by `lanes_native`.
+        return unsafe { advect_reuse_arch(f, out) };
+    }
+    advect_reuse_body(f, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn advect_reuse_arch(f: &Fields, out: &mut [f64]) {
+    advect_reuse_body(f, out)
+}
+
+/// Limited fluxes of one row of faces; `vel` and the four taps `q` are
+/// aligned with `out`. Lane walk, then scalar remainder.
+#[inline(always)]
+fn flux_row(vel: &[f64], q: [&[f64]; 4], out: &mut [f64]) {
+    type L = <f64 as numerics::Real>::Lane;
+    let n = out.len();
+    let mut m = 0;
+    while m + LANES <= n {
+        let f = limited_flux_lanes::<f64>(
+            LIM,
+            L::load(&vel[m..]),
+            L::load(&q[0][m..]),
+            L::load(&q[1][m..]),
+            L::load(&q[2][m..]),
+            L::load(&q[3][m..]),
+        );
+        f.store(&mut out[m..]);
+        m += LANES;
+    }
+    for m in m..n {
+        out[m] = limited_flux(LIM, vel[m], q[0][m], q[1][m], q[2][m], q[3][m]);
+    }
+}
+
+/// Fluxes of the NX faces at j+1/2 on level k.
+#[inline(always)]
+fn y_faces(s: &V3<'_, f64>, vv: &V3<'_, f64>, j: isize, k: isize, out: &mut [f64]) {
+    let n = NX as isize;
+    let q = [-1, 0, 1, 2].map(|d| s.row(j + d, k).slice(0, n));
+    flux_row(vv.row(j, k).slice(0, n), q, out);
+}
+
+#[inline(always)]
+fn advect_reuse_body(f: &Fields, out: &mut [f64]) {
+    type L = <f64 as numerics::Real>::Lane;
+    let s = V3::new(&f.spec, f.dc);
+    let uu = V3::new(&f.u, f.dc);
+    let vv = V3::new(&f.v, f.dc);
+    let ww = V3::new(&f.mw, f.dw);
+    let mut o = V3SlabMut::new(out, f.dc, -(HALO as isize));
+    let (n, nyi, nzi) = (NX as isize, NY as isize, NZ as isize);
+    let (vdx, vdy, vdz) = (L::splat(INV_DX), L::splat(INV_DY), L::splat(INV_DZ));
+    let mut fx = vec![0.0f64; NX + 1];
+    let (mut fy_lo, mut fy_hi) = (vec![0.0f64; NZ * NX], vec![0.0f64; NZ * NX]);
+    let (mut fz_lo, mut fz_hi) = (vec![0.0f64; NX], vec![0.0f64; NX]);
+    for k in 0..nzi {
+        let l = k as usize * NX;
+        y_faces(&s, &vv, -1, k, &mut fy_lo[l..l + NX]);
+    }
+    for j in 0..nyi {
+        fz_lo.fill(0.0);
+        for k in 0..nzi {
+            let l = k as usize * NX;
+            // x faces -1/2 .. NX-1/2; face f lies between cells f and f+1.
+            let s0 = s.row(j, k);
+            let q = [-2, -1, 0, 1].map(|d| s0.slice(d, d + n + 1));
+            flux_row(uu.row(j, k).slice(-1, n), q, &mut fx);
+            y_faces(&s, &vv, j, k, &mut fy_hi[l..l + NX]);
+            if k == nzi - 1 {
+                fz_hi.fill(0.0);
+            } else {
+                let q = [-1, 0, 1, 2].map(|d| s.row(j, k + d).slice(0, n));
+                flux_row(ww.row(j, k + 1).slice(0, n), q, &mut fz_hi);
+            }
+            let (fym, fyp) = (&fy_lo[l..l + NX], &fy_hi[l..l + NX]);
+            let mut orow = o.row_mut(j, k);
+            let mut i = 0;
+            while i + LANES <= NX {
+                let (xm, xp) = (L::load(&fx[i..]), L::load(&fx[i + 1..]));
+                let (ym, yp) = (L::load(&fym[i..]), L::load(&fyp[i..]));
+                let (zm, zp) = (L::load(&fz_lo[i..]), L::load(&fz_hi[i..]));
+                orow.add_lanes(
+                    i as isize,
+                    -((xp - xm) * vdx + (yp - ym) * vdy + (zp - zm) * vdz),
+                );
+                i += LANES;
+            }
+            for i in i..NX {
+                orow.add(
+                    i as isize,
+                    -((fx[i + 1] - fx[i]) * INV_DX
+                        + (fyp[i] - fym[i]) * INV_DY
+                        + (fz_hi[i] - fz_lo[i]) * INV_DZ),
+                );
+            }
+            std::mem::swap(&mut fz_lo, &mut fz_hi);
+        }
+        std::mem::swap(&mut fy_lo, &mut fy_hi);
+    }
+}
+
 fn bench_kernel_inner_loop(c: &mut Criterion) {
     let f = fields();
     let mut out_at = vec![0.0f64; f.dc.len()];
@@ -377,6 +492,15 @@ fn bench_kernel_inner_loop(c: &mut Criterion) {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "SIMD x-walk advection diverged bitwise from the row-cursor walk"
     );
+    let mut out_reuse = vec![0.0f64; f.dc.len()];
+    advect_reuse(&f, &mut out_reuse);
+    assert!(
+        out_lanes
+            .iter()
+            .zip(&out_reuse)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "flux-reuse advection diverged bitwise from the SIMD x-walk"
+    );
 
     let points = (NX * NY * NZ) as u64;
     let mut group = c.benchmark_group("kernel_inner_loop");
@@ -391,6 +515,9 @@ fn bench_kernel_inner_loop(c: &mut Criterion) {
     });
     group.bench_function("advection_simd_lanes_320x256x48", |b| {
         b.iter(|| advect_lanes(&f, &mut out_lanes))
+    });
+    group.bench_function("advection_flux_reuse_320x256x48", |b| {
+        b.iter(|| advect_reuse(&f, &mut out_reuse))
     });
     group.finish();
 }

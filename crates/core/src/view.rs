@@ -143,6 +143,20 @@ impl<'a, R: Real> Row<'a, R> {
         let idx = row_idx(i, self.h, self.d.len() + 1 - R::Lane::N);
         R::Lane::load(&self.d[idx..])
     }
+
+    /// The contiguous run of logical `[i0, i1)`, so a walk over a row of
+    /// faces can index its taps from zero. Both ends get the named
+    /// x-offset check of [`at`](Self::at).
+    #[inline(always)]
+    pub fn slice(&self, i0: isize, i1: isize) -> &'a [R] {
+        let lo = row_idx(i0, self.h, self.d.len());
+        let hi = if i1 > i0 {
+            row_idx(i1 - 1, self.h, self.d.len()) + 1
+        } else {
+            lo
+        };
+        &self.d[lo..hi]
+    }
 }
 
 /// Mutable counterpart of [`Row`]; obtained from [`V3SlabMut::row_mut`]
@@ -565,6 +579,38 @@ mod tests {
         let data = vec![0.0f64; m.len()];
         let v = V3::new(&data, m);
         let _ = v.row(0, 0).at(-2);
+    }
+
+    #[test]
+    fn row_slice_matches_taps() {
+        let m = Dims::center(4, 2, 2, 1);
+        let data: Vec<f64> = (0..m.len()).map(|n| n as f64).collect();
+        let row = V3::new(&data, m).row(1, 0);
+        let s = row.slice(-1, 5);
+        assert_eq!(s.len(), 6);
+        for (n, &x) in s.iter().enumerate() {
+            assert_eq!(x, row.at(n as isize - 1));
+        }
+        assert!(row.slice(2, 2).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded row")]
+    fn row_slice_rejects_x_offset_past_halo() {
+        let m = Dims::center(4, 2, 2, 1);
+        let data = vec![0.0f64; m.len()];
+        let v = V3::new(&data, m);
+        // Valid logical i is -1..=4, so [2, 6) runs one past the row.
+        let _ = v.row(0, 0).slice(2, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded row")]
+    fn row_slice_rejects_x_offset_below_halo() {
+        let m = Dims::center(4, 2, 2, 1);
+        let data = vec![0.0f64; m.len()];
+        let v = V3::new(&data, m);
+        let _ = v.row(0, 0).slice(-2, 1);
     }
 
     #[test]
