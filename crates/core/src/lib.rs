@@ -15,10 +15,15 @@
 //!   copies), each with an analytic FLOP/byte cost and a `Region`
 //!   parameter implementing the paper's inner / x-boundary / y-boundary
 //!   kernel splitting (overlap method 2).
-//! * [`single`] — the single-GPU driver (Fig. 1 execution flow).
+//! * [`stepper`] — the one long step (Fig. 1 execution flow) both
+//!   drivers run; a halo policy decides how each halo point is carried
+//!   out.
+//! * [`single`] — the single-GPU driver: the stepper as the 1×1 case,
+//!   with periodic self-copy halos.
 //! * [`decomp`], [`halo`], [`multi`] — 2-D domain decomposition, halo
-//!   exchange through host staging (Fig. 6), and the multi-GPU driver
-//!   with the three overlap optimizations (Figs. 7–8).
+//!   exchange through host staging (Fig. 6), and the multi-GPU driver:
+//!   one stepper per rank, exchanging halos serially or with the three
+//!   overlap optimizations (Figs. 7–8).
 //! * [`perf`] — GFlops accounting and report structures for the
 //!   evaluation harnesses.
 
@@ -33,6 +38,7 @@ pub mod monitor;
 pub mod multi;
 pub mod perf;
 pub mod single;
+pub mod stepper;
 pub mod view;
 
 pub use checkpoint::Checkpoint;

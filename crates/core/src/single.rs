@@ -5,85 +5,20 @@
 //! as GPU kernels; data returns to the host only for output. The step
 //! structure mirrors `dycore::Model::step` so the two implementations
 //! agree to round-off (the paper's §I claim).
+//!
+//! One device is the 1×1 case of the decomposition: the shared
+//! [`Stepper`] with periodic self-copy halos, which rolls back to its
+//! last checkpoint when a step reports a lost device.
 
-use crate::checkpoint::Checkpoint;
-use crate::error::ModelError;
-use crate::fields::DeviceState;
-use crate::geom::DeviceGeom;
-use crate::kernels::physics as kphys;
-use crate::kernels::region::{KName, Region};
-use crate::kernels::{advection, boundary, eos, helmholtz, pgf, tend, transform};
-use crate::kname;
-use crate::monitor::GuardRails;
-use dycore::config::{FaultConfig, ModelConfig};
+use crate::stepper::{Halo, Stepper};
+use dycore::config::ModelConfig;
 use dycore::grid::{BaseFields, Grid};
 use dycore::state::State;
 use numerics::Real;
-use physics::base::BaseState;
-use vgpu::{Device, DeviceSpec, ExecMode, FaultSpec, StreamId, VgpuError};
-
-/// Map the pure-data [`FaultConfig`] onto a device-level fault schedule
-/// for one rank (shared by the single- and multi-GPU drivers).
-pub fn fault_spec_for_rank(f: &FaultConfig, rank: usize) -> FaultSpec {
-    let mut s = FaultSpec::quiet(f.seed, rank as u64);
-    s.ecc_rate = f.ecc_rate;
-    s.oom_rate = f.oom_rate;
-    if f.straggler_rank == Some(rank) {
-        s.straggler_rate = 1.0;
-        s.straggler_slowdown = f.straggler_slowdown;
-    }
-    s
-}
-
-/// Restart attempts a driver makes from its last checkpoint before
-/// giving up on a persistently failing device.
-pub const MAX_RESTARTS: u64 = 8;
-
-const KN_ADV_U: KName = kname!("advection_u");
-const KN_ADV_V: KName = kname!("advection_v");
-const KN_ADV_W: KName = kname!("advection_w");
-const KN_ADV_TH: KName = kname!("advection_theta");
-const KN_ADV_Q: [KName; 7] = [
-    kname!("advection_qv"),
-    kname!("advection_qc"),
-    kname!("advection_qr"),
-    kname!("advection_qi"),
-    kname!("advection_qs"),
-    kname!("advection_qg"),
-    kname!("advection_qh"),
-];
-const KN_MOM_X: KName = kname!("momentum_x");
-const KN_MOM_Y: KName = kname!("momentum_y");
-const KN_HELM: KName = kname!("helmholtz");
-const KN_DENS: KName = kname!("density");
-const KN_PT: KName = kname!("potential_temperature");
-const KN_TRACER: [KName; 7] = [
-    kname!("tracer_qv"),
-    kname!("tracer_qc"),
-    kname!("tracer_qr"),
-    kname!("tracer_qi"),
-    kname!("tracer_qs"),
-    kname!("tracer_qg"),
-    kname!("tracer_qh"),
-];
+use vgpu::{DeviceSpec, ExecMode};
 
 /// A complete single-GPU model instance.
-pub struct SingleGpu<R: Real> {
-    pub cfg: ModelConfig,
-    pub grid: Grid,
-    pub base: BaseFields,
-    pub dev: Device<R>,
-    pub geom: DeviceGeom<R>,
-    pub ds: DeviceState<R>,
-    pub time: f64,
-    pub steps_taken: u64,
-    /// Guard-rail scanner (present when `cfg.guard_every > 0`).
-    guard: Option<GuardRails<R>>,
-    /// Last checkpoint (kept when `cfg.checkpoint_every > 0`).
-    last_checkpoint: Option<Checkpoint<R>>,
-    /// Restarts performed after injected device loss.
-    pub restarts: u64,
-}
+pub type SingleGpu<R> = Stepper<R>;
 
 impl<R: Real> SingleGpu<R> {
     /// Build the device model: construct grid/base on the host, upload
@@ -91,666 +26,10 @@ impl<R: Real> SingleGpu<R> {
     pub fn new(cfg: ModelConfig, spec: DeviceSpec, mode: ExecMode) -> Self {
         cfg.validate();
         let grid = Grid::build(&cfg);
-        Self::with_grid(cfg, grid, spec, mode)
-    }
-
-    /// Build with an externally constructed (subdomain) grid.
-    pub fn with_grid(cfg: ModelConfig, grid: Grid, spec: DeviceSpec, mode: ExecMode) -> Self {
-        let profile = BaseState {
-            profile: cfg.base,
-            p_surface: physics::consts::P00,
-        };
-        let base = BaseFields::build(&grid, &profile);
-        // Functional-mode kernel bodies run slab-parallel on this many
-        // host workers (cfg.threads == 0 → ASUCA_THREADS / all cores).
-        let threads = if cfg.threads == 0 {
-            numerics::par::default_threads()
-        } else {
-            cfg.threads
-        };
-        // SIMD x-walks (cfg.simd == None → ASUCA_SIMD / CPU detection);
-        // either way the results are bitwise identical to the scalar path.
-        let simd = cfg.simd.unwrap_or_else(numerics::simd::default_enabled);
-        let mut dev = Device::new(spec.with_host_threads(threads).with_host_simd(simd), mode);
-        let geom = DeviceGeom::build(&mut dev, &grid, &base);
-        let ds = DeviceState::alloc(&mut dev, &geom, cfg.n_tracers)
-            .expect("grid does not fit in device memory");
-        let mut this = SingleGpu {
-            cfg,
-            grid,
-            base,
-            dev,
-            geom,
-            ds,
-            time: 0.0,
-            steps_taken: 0,
-            guard: None,
-            last_checkpoint: None,
-            restarts: 0,
-        };
-        if this.cfg.guard_every > 0 {
-            this.guard =
-                Some(GuardRails::new(&mut this.dev, &this.geom).expect("guard stats do not fit"));
-        }
-        // Resting base state, then upload (Fig. 1 "Initial data").
-        let mut s = State::zeros(&this.grid, this.cfg.n_tracers);
-        dycore::model::install_base_state(&this.grid, &this.base, &mut s);
-        s.fill_halos_periodic();
-        this.load_state(&s).expect("initial state upload failed");
-        // The fault schedule arms only after initialization, so setup
-        // work is never subject to injection and the op-index → decision
-        // mapping stays independent of init details.
-        if let Some(f) = this.cfg.fault {
-            this.dev.set_fault_plan(fault_spec_for_rank(&f, 0));
-        }
-        this
-    }
-
-    /// Tear the model down and collect the sanitizer report (if
-    /// `ASUCA_SAN` armed one). Frees every device allocation first so
-    /// leakcheck certifies a clean heap; a leak finding here means a
-    /// code path dropped a buffer without `free`.
-    pub fn san_finish(mut self) -> Option<vgpu::san::Report> {
-        if let Some(g) = self.guard.take() {
-            g.free(&mut self.dev);
-        }
-        self.ds.free(&mut self.dev);
-        self.geom.free(&mut self.dev);
-        self.dev.san_finish()
-    }
-
-    /// Upload a host state (initial condition) into the device.
-    pub fn load_state(&mut self, s: &State) -> Result<(), ModelError> {
-        self.ds.upload(&mut self.dev, &self.geom, s);
-        // Halos + full EOS once on device.
-        self.fill_all_halos()?;
-        eos::eos_full(
-            &mut self.dev,
-            StreamId::DEFAULT,
-            &self.geom,
-            "eos_full",
-            self.ds.th,
-            self.ds.p,
-        )?;
-        Ok(())
-    }
-
-    /// Download the prognostics into a host state (Fig. 1 "Output").
-    pub fn save_state(&mut self, s: &mut State) {
-        self.ds.download(&mut self.dev, &self.geom, s);
-    }
-
-    fn fill_halo_field(
-        &mut self,
-        buf: vgpu::Buf<R>,
-        dims: crate::view::Dims,
-        name: &'static str,
-    ) -> Result<(), VgpuError> {
-        boundary::halo_periodic_xy(&mut self.dev, StreamId::DEFAULT, name, buf, dims)?;
-        boundary::halo_zero_grad_z(&mut self.dev, StreamId::DEFAULT, name, buf, dims)
-    }
-
-    fn fill_all_halos(&mut self) -> Result<(), VgpuError> {
-        let (dc, dw) = (self.geom.dc, self.geom.dw);
-        self.fill_halo_field(self.ds.rho, dc, "halo_rho")?;
-        self.fill_halo_field(self.ds.u, dc, "halo_u")?;
-        self.fill_halo_field(self.ds.v, dc, "halo_v")?;
-        self.fill_halo_field(self.ds.w, dw, "halo_w")?;
-        self.fill_halo_field(self.ds.th, dc, "halo_theta")?;
-        self.fill_halo_field(self.ds.p, dc, "halo_p")?;
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            self.fill_halo_field(self.ds.q[t], dc, "halo_q")?;
-        }
-        Ok(())
-    }
-
-    /// Compute all slow tendencies from the current prognostics
-    /// (mirrors `dycore::tendency::compute_slow`).
-    fn compute_slow_tendencies(&mut self) -> Result<(), VgpuError> {
-        let st = StreamId::DEFAULT;
-        let g = &self.geom;
-        let ds = &self.ds;
-        let lim = self.cfg.limiter;
-        let kdiff = self.cfg.k_diffusion;
-        let nz = g.nz as isize;
-
-        for (buf, name) in [
-            (ds.fu, "clear_fu"),
-            (ds.fv, "clear_fv"),
-            (ds.fw, "clear_fw"),
-            (ds.frho, "clear_frho"),
-            (ds.fth, "clear_fth"),
-        ] {
-            transform::zero_buf(&mut self.dev, st, name, buf)?;
-        }
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::zero_buf(&mut self.dev, st, "clear_fq", self.ds.fq[t])?;
-        }
-
-        transform::mass_flux_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.mw,
-        )?;
-        boundary::halo_periodic_xy(&mut self.dev, st, "halo_mw", self.ds.mw, self.geom.dw)?;
-
-        // Momentum advection + diffusion (staggered specific velocities
-        // get a lateral halo refresh; see dycore::tendency for why).
-        transform::specific_u(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        boundary::halo_periodic_xy(&mut self.dev, st, "halo_spec", self.ds.spec, self.geom.dc)?;
-        advection::advect_u(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_U,
-            lim,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fu,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_u",
-            kdiff,
-            self.ds.spec,
-            None,
-            tend::DiffWeight::U,
-            self.ds.rho,
-            self.ds.fu,
-            0,
-            nz,
-        )?;
-
-        transform::specific_v(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.v,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        boundary::halo_periodic_xy(&mut self.dev, st, "halo_spec", self.ds.spec, self.geom.dc)?;
-        advection::advect_v(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_V,
-            lim,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fv,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_v",
-            kdiff,
-            self.ds.spec,
-            None,
-            tend::DiffWeight::V,
-            self.ds.rho,
-            self.ds.fv,
-            0,
-            nz,
-        )?;
-
-        transform::specific_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.w,
-            self.ds.rho,
-            self.ds.spec_w,
-        )?;
-        advection::advect_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_W,
-            lim,
-            self.ds.spec_w,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fw,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_w",
-            kdiff,
-            self.ds.spec_w,
-            None,
-            tend::DiffWeight::W,
-            self.ds.rho,
-            self.ds.fw,
-            1,
-            nz,
-        )?;
-
-        tend::coriolis(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.cfg.coriolis_f,
-            self.ds.u,
-            self.ds.v,
-            self.ds.fu,
-            self.ds.fv,
-        )?;
-        tend::metric_pg(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.p,
-            self.ds.fu,
-            self.ds.fv,
-        )?;
-
-        // Θ: advection + deviation diffusion + linear-divergence credit.
-        transform::specific_center(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "transform_theta",
-            self.ds.th,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        advection::advect_scalar(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_TH,
-            lim,
-            true,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fth,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_theta",
-            kdiff,
-            self.ds.spec,
-            Some(self.geom.th_c),
-            tend::DiffWeight::Center,
-            self.ds.rho,
-            self.ds.fth,
-            0,
-            nz,
-        )?;
-        tend::add_div_lin_theta(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.fth,
-        )?;
-
-        // ρ*: terrain metric residual.
-        tend::continuity_residual(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.mw,
-            self.ds.frho,
-        )?;
-
-        // Tracers ("13 variables related to water substances").
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::specific_center(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "transform_q",
-                self.ds.q[t],
-                self.ds.rho,
-                self.ds.spec,
-            )?;
-            advection::advect_scalar(
-                &mut self.dev,
-                st,
-                &self.geom,
-                Region::Whole,
-                &KN_ADV_Q[t],
-                lim,
-                true,
-                self.ds.spec,
-                self.ds.u,
-                self.ds.v,
-                self.ds.mw,
-                self.ds.fq[t],
-            )?;
-            tend::diffuse(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "diff_q",
-                kdiff,
-                self.ds.spec,
-                None,
-                tend::DiffWeight::Center,
-                self.ds.rho,
-                self.ds.fq[t],
-                0,
-                nz,
-            )?;
-        }
-        let _ = ds;
-        Ok(())
-    }
-
-    /// One long (RK3 + acoustic) step on the device.
-    pub fn step(&mut self) -> Result<(), ModelError> {
-        let st = StreamId::DEFAULT;
-        let dt = self.cfg.dt;
-
-        // Keep the time-t copies on device.
-        transform::copy_buf(&mut self.dev, st, "save_rho_t", self.ds.rho, self.ds.rho_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_u_t", self.ds.u, self.ds.u_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_v_t", self.ds.v, self.ds.v_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_w_t", self.ds.w, self.ds.w_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_th_t", self.ds.th, self.ds.th_t)?;
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::copy_buf(&mut self.dev, st, "save_q_t", self.ds.q[t], self.ds.q_t[t])?;
-        }
-
-        for s in 1..=3usize {
-            let dts = dt * self.cfg.dt_fraction_for_stage(s);
-            let nsub = self.cfg.substeps_for_stage(s);
-            let dtau = dts / nsub as f64;
-
-            // Slow tendencies + linearization reference from the latest
-            // stage state (the prognostics currently on device).
-            self.compute_slow_tendencies()?;
-            transform::copy_buf(
-                &mut self.dev,
-                st,
-                "capture_th_ref",
-                self.ds.th,
-                self.ds.th_ref,
-            )?;
-            eos::eos_full(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "eos_ref",
-                self.ds.th_ref,
-                self.ds.p_ref,
-            )?;
-
-            // Restart the acoustic integration from time t.
-            transform::copy_buf(&mut self.dev, st, "restore_rho", self.ds.rho_t, self.ds.rho)?;
-            transform::copy_buf(&mut self.dev, st, "restore_u", self.ds.u_t, self.ds.u)?;
-            transform::copy_buf(&mut self.dev, st, "restore_v", self.ds.v_t, self.ds.v)?;
-            transform::copy_buf(&mut self.dev, st, "restore_w", self.ds.w_t, self.ds.w)?;
-            transform::copy_buf(&mut self.dev, st, "restore_th", self.ds.th_t, self.ds.th)?;
-            eos::eos_linear(
-                &mut self.dev,
-                st,
-                &self.geom,
-                self.ds.th,
-                self.ds.th_ref,
-                self.ds.p_ref,
-                self.ds.p,
-            )?;
-
-            for _ in 0..nsub {
-                pgf::momentum_x(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_MOM_X,
-                    self.ds.p,
-                    self.ds.fu,
-                    dtau,
-                    self.ds.u,
-                )?;
-                pgf::momentum_y(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_MOM_Y,
-                    self.ds.p,
-                    self.ds.fv,
-                    dtau,
-                    self.ds.v,
-                )?;
-                boundary::halo_periodic_xy(&mut self.dev, st, "halo_u", self.ds.u, self.geom.dc)?;
-                boundary::halo_periodic_xy(&mut self.dev, st, "halo_v", self.ds.v, self.geom.dc)?;
-                helmholtz::helmholtz(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_HELM,
-                    self.cfg.beta,
-                    dtau,
-                    helmholtz::HelmholtzArgs {
-                        u: self.ds.u,
-                        v: self.ds.v,
-                        w: self.ds.w,
-                        rho: self.ds.rho,
-                        th: self.ds.th,
-                        p: self.ds.p,
-                        fu_w: self.ds.fw,
-                        frho: self.ds.frho,
-                        fth: self.ds.fth,
-                        th_ref: self.ds.th_ref,
-                        p_ref: self.ds.p_ref,
-                        st_rho: self.ds.spec,
-                        st_th: self.ds.flux,
-                    },
-                )?;
-                helmholtz::density(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_DENS,
-                    self.cfg.beta,
-                    dtau,
-                    self.ds.spec,
-                    self.ds.w,
-                    self.ds.rho,
-                )?;
-                helmholtz::potential_temperature(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_PT,
-                    self.cfg.beta,
-                    dtau,
-                    self.ds.flux,
-                    self.ds.w,
-                    self.ds.th,
-                )?;
-                self.fill_halo_field(self.ds.th, self.geom.dc, "halo_theta")?;
-                self.fill_halo_field(self.ds.rho, self.geom.dc, "halo_rho")?;
-                eos::eos_linear(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    self.ds.th,
-                    self.ds.th_ref,
-                    self.ds.p_ref,
-                    self.ds.p,
-                )?;
-            }
-            self.fill_halo_field(self.ds.w, self.geom.dw, "halo_w")?;
-
-            // Tracers from their time-t values.
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..self.ds.n_tracers {
-                tend::tracer_update(
-                    &mut self.dev,
-                    st,
-                    &self.geom,
-                    Region::Whole,
-                    &KN_TRACER[t],
-                    dts,
-                    self.ds.q_t[t],
-                    self.ds.fq[t],
-                    self.ds.q[t],
-                )?;
-                self.fill_halo_field(self.ds.q[t], self.geom.dc, "halo_q")?;
-            }
-        }
-
-        // Physics.
-        if self.cfg.microphysics && self.ds.n_tracers >= 3 {
-            kphys::warm_rain(
-                &mut self.dev,
-                st,
-                &self.geom,
-                dt,
-                self.ds.rho,
-                self.ds.th,
-                self.ds.p,
-                self.ds.q[0],
-                self.ds.q[1],
-                self.ds.q[2],
-            )?;
-            kphys::sediment(
-                &mut self.dev,
-                st,
-                &self.geom,
-                dt,
-                self.ds.rho,
-                self.ds.q[2],
-                self.ds.precip,
-            )?;
-        }
-        kphys::rayleigh(
-            &mut self.dev,
-            st,
-            &self.geom,
-            &self.grid,
-            self.cfg.rayleigh.z_bottom,
-            self.cfg.rayleigh.rate,
-            dt,
-            self.ds.w,
-            self.ds.th,
-            self.ds.rho,
-        )?;
-
-        // Final halos + full EOS.
-        self.fill_all_halos()?;
-        eos::eos_full(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "eos_full",
-            self.ds.th,
-            self.ds.p,
-        )?;
-
-        self.dev.sync_all();
-        self.time += dt;
-        self.steps_taken += 1;
-        Ok(())
-    }
-
-    /// Run `n` steps with the robustness machinery engaged: periodic
-    /// checkpoints (`cfg.checkpoint_every`), guard-rail scans
-    /// (`cfg.guard_every`), and — when a checkpoint exists — automatic
-    /// rollback/restart after an injected device loss.
-    pub fn run(&mut self, n: usize) -> Result<(), ModelError> {
-        let target = self.steps_taken + n as u64;
-        while self.steps_taken < target {
-            match self.step() {
-                Ok(()) => {}
-                Err(ModelError::Gpu(VgpuError::DeviceLost { .. }))
-                    if self.last_checkpoint.is_some() && self.restarts < MAX_RESTARTS =>
-                {
-                    // Roll the physics back; the virtual clock keeps
-                    // running forward across the restart.
-                    let cp = self.last_checkpoint.take().unwrap();
-                    cp.restore(&mut self.dev, &self.ds, &self.geom);
-                    self.steps_taken = cp.step;
-                    self.time = cp.sim_time;
-                    self.last_checkpoint = Some(cp);
-                    self.restarts += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            if self.cfg.guard_every > 0 && self.steps_taken.is_multiple_of(self.cfg.guard_every) {
-                if let Some(g) = &self.guard {
-                    g.check(
-                        &mut self.dev,
-                        &self.ds,
-                        &self.geom,
-                        self.steps_taken,
-                        self.cfg.dt,
-                        self.cfg.dx,
-                        self.cfg.dy,
-                        self.cfg.dzeta(),
-                    )?;
-                }
-            }
-            if self.cfg.checkpoint_every > 0
-                && self.steps_taken.is_multiple_of(self.cfg.checkpoint_every)
-            {
-                self.last_checkpoint = Some(Checkpoint::capture(
-                    &mut self.dev,
-                    &self.ds,
-                    &self.geom,
-                    self.steps_taken,
-                    self.time,
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Simulated GFlops achieved so far (total flops / busy kernel time).
-    pub fn simulated_gflops(&self) -> f64 {
-        let (flops, secs) = self.dev.profiler.flops_and_time();
-        if secs > 0.0 {
-            flops / secs / 1e9
-        } else {
-            0.0
-        }
+        let rest = |_: &Grid, _: &BaseFields, _: &mut State| {};
+        Stepper::build(cfg, grid, spec, mode, Some(&rest), |_, _| {
+            Halo::PeriodicSelf
+        })
+        .expect("grid does not fit in device memory")
     }
 }

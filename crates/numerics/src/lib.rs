@@ -24,10 +24,8 @@ pub mod layout;
 pub mod limiter;
 pub mod par;
 pub mod real;
-pub mod reduce;
 pub mod rng;
 pub mod simd;
-pub mod stencil;
 pub mod tridiag;
 
 pub use field::Field3;

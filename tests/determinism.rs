@@ -118,6 +118,10 @@ fn consecutive_launches_reuse_the_same_worker_threads() {
         DeviceSpec::tesla_s1070().with_host_threads(3),
         ExecMode::Functional,
     );
+    // The probe is about the unsanitized pool. Racecheck (`ASUCA_SAN`)
+    // runs a launch's slabs serially on the submitting thread by design
+    // (DESIGN.md §11), so it would see one thread for every slab.
+    dev.set_san_config(None);
     let cost = KernelCost::streaming(3, 1.0, 1.0, 1.0);
     let record = |dev: &mut Device<f64>| -> HashMap<usize, ThreadId> {
         let seen: Mutex<HashMap<usize, ThreadId>> = Mutex::new(HashMap::new());

@@ -155,6 +155,69 @@ fn decomposed_run_matches_single_domain() {
 }
 
 #[test]
+fn one_by_one_decomposition_is_bitwise_the_single_device() {
+    // A 1×1 rank grid exchanges every halo with itself, so it must be
+    // the single-device run bit for bit, in both overlap modes: the two
+    // drivers differ only in how halos are refreshed. Agnesi terrain
+    // and warm rain on, so every kernel and tracer path runs.
+    let (nx, ny, nz, steps) = (24usize, 12usize, 10usize, 3usize);
+    let mut cfg = ModelConfig::mountain_wave(nx, ny, nz);
+    cfg.dt = 4.0;
+    let mut gpu =
+        SingleGpu::<f64>::new(cfg.clone(), DeviceSpec::tesla_s1070(), ExecMode::Functional);
+    let grid = Grid::build(&cfg);
+    let base = BaseFields::build(
+        &grid,
+        &physics::base::BaseState {
+            profile: cfg.base,
+            p_surface: physics::consts::P00,
+        },
+    );
+    let mut s = State::zeros(&grid, cfg.n_tracers);
+    dycore::model::install_base_state(&grid, &base, &mut s);
+    s.fill_halos_periodic();
+    seeded_init(&grid, &mut s, 0, 0, nx, ny);
+    gpu.load_state(&s).unwrap();
+    gpu.run(steps).unwrap();
+    let mut single = State::zeros(&grid, cfg.n_tracers);
+    gpu.save_state(&mut single);
+
+    for overlap in [OverlapMode::None, OverlapMode::Overlap] {
+        let mc = MultiGpuConfig {
+            local_cfg: cfg.clone(),
+            px: 1,
+            py: 1,
+            overlap,
+            spec: DeviceSpec::tesla_s1070(),
+            net: NetworkSpec::tsubame1_infiniband(),
+            mode: ExecMode::Functional,
+            steps,
+            detailed_profile: false,
+        };
+        let report = run_multi::<f64>(&mc, &move |_, grid, _, s| {
+            seeded_init(grid, s, 0, 0, nx, ny);
+        })
+        .expect("run failed");
+        let multi = &report.final_states.expect("functional mode returns states")[0];
+        let mut fields = vec![
+            ("rho", single.rho.max_diff(&multi.rho)),
+            ("u", single.u.max_diff(&multi.u)),
+            ("v", single.v.max_diff(&multi.v)),
+            ("w", single.w.max_diff(&multi.w)),
+            ("theta", single.th.max_diff(&multi.th)),
+            ("p", single.p.max_diff(&multi.p)),
+            ("precip", single.precip.max_diff(&multi.precip)),
+        ];
+        for (t, (a, b)) in single.q.iter().zip(&multi.q).enumerate() {
+            fields.push((["qv", "qc", "qr"][t], a.max_diff(b)));
+        }
+        for (name, diff) in fields {
+            assert_eq!(diff, 0.0, "{overlap:?}: {name} differs by {diff:e}");
+        }
+    }
+}
+
+#[test]
 fn overlap_does_not_change_results() {
     let (px, py, sx, sy) = (2usize, 3usize, 8usize, 6usize);
     let plain = run_decomposed(px, py, sx, sy, OverlapMode::None, 2);
